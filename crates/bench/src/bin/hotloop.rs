@@ -25,8 +25,8 @@
 //! * `trial/scale200/RICA` — 200 nodes / 20 flows / 100 s: the scenario
 //!   the spatial grid exists for.
 //! * `trial/scale200_approx/RICA` — the same trial on the approx channel
-//!   tier (`ChannelFidelity::Approx`): ziggurat innovations, dt-quantised
-//!   decay, batched fan-out draws.
+//!   tier (`ChannelFidelity::Approx`): ziggurat innovations and
+//!   dt-quantised decay.
 //! * `trial/workload_burst/RICA` — the same 200-node grid at the paper's
 //!   20 pkt/s overload driven through `rica-traffic` (on/off bursts,
 //!   bimodal sizes): the workload-generation path's perf trajectory.
@@ -149,7 +149,7 @@ fn run_all(quick: bool, reps: usize) -> Vec<(String, f64)> {
     eprintln!("  timed trial/scale200/RICA");
 
     // The same scale trial on the approx channel tier (ziggurat
-    // innovations, dt-quantised decay, batched fan-out draws) — the row
+    // innovations, dt-quantised decay) — the row
     // the fidelity tier's ≥1.5× full-trial target is read from, next to
     // `trial/scale200/RICA` above.
     let s200a = Scenario::builder()

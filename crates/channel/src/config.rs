@@ -10,9 +10,8 @@
 /// * [`ChannelFidelity::Approx`] is the throughput tier: ziggurat
 ///   innovations ([`rica_sim::Rng::normal_ziggurat`]), reception-`dt`
 ///   quantised to a geometric grid so the decay cache hits ~100%
-///   (see `rica_channel::quantise_dt`), and batched per-pair draws in the
-///   broadcast fan-out. It realises a *different but statistically
-///   equivalent* trajectory: the equivalence gate
+///   (see `rica_channel::quantise_dt`). It realises a *different but
+///   statistically equivalent* trajectory: the equivalence gate
 ///   (`tests/approx_equivalence.rs`) holds class dwell times, transition
 ///   rates and delivery/latency aggregates within confidence bounds of
 ///   Exact, and the Approx tier pins its own goldens.
@@ -25,8 +24,7 @@ pub enum ChannelFidelity {
     /// Bit-pinned reproduction tier (Box–Muller, exact decay bits).
     #[default]
     Exact,
-    /// Statistically-equivalent fast tier (ziggurat, quantised decay,
-    /// batched fan-out draws).
+    /// Statistically-equivalent fast tier (ziggurat, quantised decay).
     Approx,
 }
 

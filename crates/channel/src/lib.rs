@@ -40,10 +40,9 @@
 //!
 //! [`ChannelFidelity`] selects how the stochastic processes are realised:
 //! `Exact` (default) is bit-pinned against every golden in the workspace,
-//! while `Approx` trades bit identity for throughput — ziggurat innovations,
-//! [`quantise_dt`]-gridded decay lookups and batched fan-out draws
-//! ([`ChannelModel::class_batch`]) — gated on statistical equivalence of the
-//! class process and trial aggregates.
+//! while `Approx` trades bit identity for throughput — ziggurat innovations
+//! and [`quantise_dt`]-gridded decay lookups — gated on statistical
+//! equivalence of the class process and trial aggregates.
 //!
 //! ```
 //! use rica_channel::{ChannelClass, ChannelConfig, ChannelModel};

@@ -64,9 +64,6 @@ pub struct ChannelModel {
     presized_nodes: Option<u32>,
     /// Times the indirection table grew past its initial sizing.
     growths: u32,
-    /// Dense pair indices resolved by pass 1 of
-    /// [`ChannelModel::class_batch`], reused across calls.
-    scratch_dense: Vec<u32>,
 }
 
 /// The unordered pair `{a, b}` as `(lo, hi)`.
@@ -119,7 +116,6 @@ impl ChannelModel {
             caches,
             presized_nodes: None,
             growths: 0,
-            scratch_dense: Vec::new(),
         }
     }
 
@@ -331,27 +327,21 @@ impl ChannelModel {
     }
 
     /// Classifies a whole broadcast receiver set in one call — the
-    /// **approx-tier** fan-out path.
+    /// fan-out path of both fidelity tiers.
     ///
     /// `receivers` holds `(node id, exact squared distance to tx)` for
     /// every in-range candidate (the caller has already applied the
-    /// inclusive `d² ≤ tx_range_m²` predicate — debug-asserted here); the
-    /// class of `receivers[i]` lands in `out[i]` (`out` is cleared first).
+    /// inclusive `d² ≤ tx_range_m²` predicate); the class of
+    /// `receivers[i]` lands in `out[i]` (`out` is cleared first).
     ///
-    /// Semantically identical to calling
-    /// [`ChannelModel::class_at_dist_sq`]`(tx, rx, d², t)` per receiver —
-    /// same per-pair streams, same same-instant memo, so interleaving with
-    /// single-pair queries at the same instant is sound. The point is the
-    /// shape: pass 1 resolves dense pair indices (instantiating first-seen
-    /// pairs), pass 2 walks the dense rows in one tight loop with the
-    /// caches and thresholds already in registers — no per-receiver borrow
-    /// re-derivation or table walk between innovation draws.
+    /// It calls [`ChannelModel::class_at_dist_sq`]`(tx, rx, d², t)` per
+    /// receiver, in order — same per-pair streams, same same-instant memo —
+    /// so interleaving with single-pair queries at the same instant is
+    /// sound.
     ///
     /// # Panics
     ///
-    /// Panics if any receiver id equals `tx`, or (debug) if the model is
-    /// not [`ChannelFidelity::Approx`] — the exact tier keeps its pinned
-    /// per-receiver loop.
+    /// Panics if any receiver id equals `tx` or lies beyond radio range.
     pub fn class_batch(
         &mut self,
         tx: u32,
@@ -359,51 +349,11 @@ impl ChannelModel {
         t: SimTime,
         out: &mut Vec<ChannelClass>,
     ) {
-        debug_assert_eq!(
-            self.config.fidelity,
-            ChannelFidelity::Approx,
-            "class_batch is the approx-tier fan-out path"
-        );
-        // Pass 1: resolve (and lazily instantiate) every pair's dense row.
-        let mut dense = std::mem::take(&mut self.scratch_dense);
-        dense.clear();
-        dense.extend(receivers.iter().map(|&(rx, _)| self.pair_index(tx, rx) as u32));
-        // Pass 2: one tight loop over the dense rows. Disjoint field
-        // borrows: `pairs` (mutable, per row), `caches` (mutable, shared),
-        // `config` (read-only).
         out.clear();
-        out.reserve(receivers.len());
-        let thresholds = self.config.class_thresholds_db;
-        let range_sq = self.config.tx_range_m * self.config.tx_range_m;
-        let (shadow_cache, fade_cache) =
-            self.caches.as_deref_mut().expect("the Approx tier always has decay caches");
-        for (&row, &(_rx, dist_sq)) in dense.iter().zip(receivers) {
-            debug_assert!(dist_sq <= range_sq, "class_batch receiver beyond radio range");
-            let st = &mut self.pairs[row as usize];
-            let snr = if st.snr_stamp == t {
-                #[cfg(debug_assertions)]
-                assert_eq!(
-                    st.snr_dist_m.to_bits(),
-                    dist_sq.sqrt().to_bits(),
-                    "same-instant queries of one pair must agree on its geometry"
-                );
-                st.snr_db
-            } else {
-                let distance_m = dist_sq.sqrt();
-                let snr = self.config.mean_snr_db(distance_m)
-                    + st.shadow.sample_approx(t, &mut st.rng, shadow_cache)
-                    + st.fade.sample_approx(t, &mut st.rng, fade_cache);
-                st.snr_stamp = t;
-                st.snr_db = snr;
-                #[cfg(debug_assertions)]
-                {
-                    st.snr_dist_m = distance_m;
-                }
-                snr
-            };
-            out.push(ChannelClass::from_snr_db(snr, thresholds));
-        }
-        self.scratch_dense = dense;
+        out.extend(receivers.iter().map(|&(rx, dist_sq)| {
+            self.class_at_dist_sq(tx, rx, dist_sq, t)
+                .expect("class_batch receiver beyond radio range")
+        }));
     }
 
     /// Whether `a` and `b` are within radio range.
@@ -704,38 +654,54 @@ mod tests {
 
     #[test]
     fn class_batch_matches_single_pair_queries() {
-        // The batched fan-out path and per-receiver `class_at_dist_sq` are
-        // the same realisation: same pair streams, same memo, same grid.
-        let mut batched = approx_model(123, 16);
-        let mut single = approx_model(123, 16);
-        let mut jitter = Rng::new(5);
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        for round in 0..200u32 {
-            t += 0.016 + jitter.range_f64(0.0, 0.002);
-            let at = secs(t);
-            let tx = round % 16;
-            let receivers: Vec<(u32, f64)> = (0..16u32)
-                .filter(|&rx| rx != tx)
-                .map(|rx| {
-                    let d = 40.0 + ((tx * 31 + rx * 17) % 200) as f64;
-                    (rx, d * d)
-                })
-                .collect();
-            batched.class_batch(tx, &receivers, at, &mut out);
-            assert_eq!(out.len(), receivers.len());
-            for (&(rx, d_sq), &got) in receivers.iter().zip(&out) {
-                let want = single.class_at_dist_sq(tx, rx, d_sq, at).unwrap();
-                assert_eq!(want, got, "pair ({tx},{rx}) diverged at round {round}");
+        // On both tiers the fan-out path and per-receiver
+        // `class_at_dist_sq` are the same realisation: same pair streams,
+        // same memo, same decay grid.
+        for fidelity in [ChannelFidelity::Exact, ChannelFidelity::Approx] {
+            let model = || {
+                ChannelModel::with_nodes(
+                    ChannelConfig { fidelity, ..ChannelConfig::default() },
+                    Rng::new(123),
+                    16,
+                )
+            };
+            let (mut batched, mut single) = (model(), model());
+            let mut jitter = Rng::new(5);
+            let mut out = Vec::new();
+            let mut t = 0.0;
+            for round in 0..200u32 {
+                t += 0.016 + jitter.range_f64(0.0, 0.002);
+                let at = secs(t);
+                let tx = round % 16;
+                let receivers: Vec<(u32, f64)> = (0..16u32)
+                    .filter(|&rx| rx != tx)
+                    .map(|rx| {
+                        let d = 40.0 + ((tx * 31 + rx * 17) % 200) as f64;
+                        (rx, d * d)
+                    })
+                    .collect();
+                batched.class_batch(tx, &receivers, at, &mut out);
+                assert_eq!(out.len(), receivers.len());
+                for (&(rx, d_sq), &got) in receivers.iter().zip(&out) {
+                    let want = single.class_at_dist_sq(tx, rx, d_sq, at).unwrap();
+                    assert_eq!(
+                        want, got,
+                        "{fidelity:?}: pair ({tx},{rx}) diverged at round {round}"
+                    );
+                }
+            }
+            assert_eq!(batched.decay_cache_stats(), single.decay_cache_stats());
+            if fidelity == ChannelFidelity::Approx {
+                // Each pair's jittered dt spans several octaves here (pairs
+                // are touched on irregular rounds), yet the quantised grid
+                // still absorbs the bulk of the vocabulary. (Real reception
+                // schedules are narrower and hit > 99% — pinned in
+                // `ou::tests`.)
+                let (hits, misses) = batched.decay_cache_stats().unwrap();
+                let rate = hits as f64 / (hits + misses) as f64;
+                assert!(rate > 0.9, "approx fan-out should mostly hit: {hits}/{misses}");
             }
         }
-        // Each pair's jittered dt spans several octaves here (pairs are
-        // touched on irregular rounds), yet the quantised grid still
-        // absorbs the bulk of the vocabulary. (Real reception schedules
-        // are narrower and hit > 99% — pinned in `ou::tests`.)
-        let (hits, misses) = batched.decay_cache_stats().unwrap();
-        let rate = hits as f64 / (hits + misses) as f64;
-        assert!(rate > 0.9, "approx fan-out should mostly hit: {hits}/{misses}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rica_channel::{ChannelClass, ChannelFidelity, ChannelModel};
+use rica_channel::{ChannelClass, ChannelModel};
 use rica_faults::{FaultSchedule, TrafficPolicy};
 use rica_mac::{backoff_delay, CommonMedium, TxId};
 use rica_metrics::{FaultKind, Metrics, TrialSummary, WorldDiagnostics};
@@ -194,10 +194,16 @@ pub struct World<'s> {
     scratch_receivers: Vec<(usize, RxInfo)>,
     /// Scratch: expired packets surfaced by queue pops.
     scratch_expired: Vec<DataPacket>,
-    /// Scratch (approx fidelity only): `(candidate, d²)` broadcast
-    /// survivors awaiting batched classification, and their classes.
+    /// Scratch: `(candidate, d²)` broadcast survivors awaiting
+    /// classification, and their classes.
     scratch_survivors: Vec<(u32, f64)>,
     scratch_classes: Vec<ChannelClass>,
+    /// Whether [`World::start`] is running the protocols' `on_start`:
+    /// the only window in which [`NodeCtx::initial_topology`] serves.
+    starting: bool,
+    /// The §III.A initial topology view, built on the first request
+    /// during start-up and dropped when start-up ends.
+    initial_topology: Option<TopologySnapshot>,
     /// Structured event tracing; `None` (the default) keeps every
     /// emission site down to one branch.
     tracer: Option<TraceState>,
@@ -460,6 +466,8 @@ impl<'s> World<'s> {
             scratch_expired: Vec::new(),
             scratch_survivors: Vec::new(),
             scratch_classes: Vec::new(),
+            starting: false,
+            initial_topology: None,
             tracer: None,
             timeseries: None,
             profiler: None,
@@ -645,19 +653,26 @@ impl<'s> World<'s> {
         self.finish()
     }
 
-    /// Initialises protocols, the topology snapshot, injected failures and
-    /// the traffic processes. Called automatically by [`World::run`]; call
-    /// it explicitly when driving the world incrementally with
+    /// Starts the protocols, then schedules injected failures and primes
+    /// the traffic processes. Called automatically by [`World::run`];
+    /// call it explicitly when driving the world incrementally with
     /// [`World::step_until`].
+    ///
+    /// The accurate t = 0 topology view of §III.A is pulled, not pushed:
+    /// it is built — one O(n²) pass classifying every in-range pair — only
+    /// if a protocol asks through [`NodeCtx::initial_topology`] from its
+    /// `on_start` (link state does), at most once, and lent to every
+    /// requester. Trials of the on-demand protocols never build it, so
+    /// their start-up is O(n) and instantiates no channel pair state.
+    /// Deferring pair creation changes no realisation: pair streams are
+    /// forked per pair id, and a sample at `dt = 0` draws nothing.
     pub fn start(&mut self) {
-        // Start protocols and install the initial accurate topology view
-        // (link state uses it; on-demand protocols ignore it, §III.A).
-        let snapshot = self.build_snapshot();
+        self.starting = true;
         for i in 0..self.nodes.len() {
             self.dispatch(i, |proto, ctx| proto.on_start(ctx));
-            let snap = snapshot.clone();
-            self.dispatch(i, move |proto, ctx| proto.on_topology_snapshot(ctx, &snap));
         }
+        self.starting = false;
+        self.initial_topology = None;
         // Schedule injected failures (the legacy permanent-crash list).
         for &(secs, node) in &self.scenario.node_failures {
             self.sim.schedule_at(SimTime::from_secs_f64(secs), Event::Crash { node: node.index() });
@@ -770,6 +785,8 @@ impl<'s> World<'s> {
         path
     }
 
+    /// Every in-range link at the current instant with its class: the
+    /// O(n²) pass behind [`NodeCtx::initial_topology`].
     fn build_snapshot(&mut self) -> TopologySnapshot {
         let mut snap = TopologySnapshot::default();
         let n = self.nodes.len();
@@ -1079,7 +1096,8 @@ impl<'s> World<'s> {
         // `mac.range_m <= channel.tx_range_m` (asserted by `World::new`;
         // boundary agreement pinned by `tests/channel_fastpath.rs`). One
         // predicate at every site — a rounded-`sqrt` variant anywhere
-        // could disagree in the last ulp and panic the `expect` below.
+        // could disagree in the last ulp and panic `class_batch`'s range
+        // `expect`.
         let range_sq = range * range;
         let candidates = self.broadcast_candidates(node);
         self.medium.begin_delivery(tx);
@@ -1110,109 +1128,59 @@ impl<'s> World<'s> {
             // nothing from each other. All-zero signatures (no active
             // partition, the default) filter nobody.
             let sig_tx = partition_sig[node];
-            let approx = channel.config().fidelity == ChannelFidelity::Approx;
-            if !approx {
-                for &cand in &candidates {
-                    let j = cand as usize;
-                    if dead[j] || partition_sig[j] != sig_tx {
-                        continue;
-                    }
-                    // Inlined `World::position`: one evaluation per node per
-                    // event timestamp.
-                    let pj = if pos_stamp[j] == now {
-                        pos_cache[j]
-                    } else {
-                        let p = nodes[j].mobility.position_at(now);
-                        pos_cache[j] = p;
-                        pos_stamp[j] = now;
-                        p
-                    };
-                    let d_sq = pj.distance_sq(p_tx);
-                    if d_sq > range_sq {
-                        continue;
-                    }
-                    if !medium.delivered_prepared(cand, pj) {
-                        metrics.on_collision();
-                        if let Some(tr) = tracer {
-                            tr.sink.record(&TraceEvent::MacCollision {
-                                t: now,
-                                tx: NodeId(node as u32),
-                                rx: NodeId(cand),
-                            });
-                        }
-                        continue;
-                    }
-                    // The CSI measurement reuses the squared distance measured
-                    // for the range check above (bit-identical: IEEE negation
-                    // is exact, so the displacement order cannot matter).
-                    let class = channel
-                        .class_at_dist_sq(node as u32, cand, d_sq, now)
-                        .expect("receiver in range has a class");
-                    if let Some(tr) = tracer {
-                        tr.note_class(now, node as u32, cand, class);
-                    }
-                    let info = RxInfo { from: NodeId(node as u32), class };
-                    match out.target {
-                        None => receivers.push((j, info)),
-                        Some(t) if t.index() == j => {
-                            target_delivered = true;
-                            receivers.push((j, info));
-                        }
-                        Some(_) => {} // MAC-filtered: not addressed to j
-                    }
+            // Filter pass (dead / partition / position / range /
+            // collision), then one `ChannelModel::class_batch` call
+            // classifies the survivors on either fidelity tier.
+            scratch_survivors.clear();
+            for &cand in &candidates {
+                let j = cand as usize;
+                if dead[j] || partition_sig[j] != sig_tx {
+                    continue;
                 }
-            } else {
-                // Approx fidelity: identical dead / position / range /
-                // collision filtering, but the surviving receiver set is
-                // classified in one `ChannelModel::class_batch` call — the
-                // per-pair innovation draws happen in a single tight loop
-                // over dense rows instead of per-candidate.
-                scratch_survivors.clear();
-                for &cand in &candidates {
-                    let j = cand as usize;
-                    if dead[j] || partition_sig[j] != sig_tx {
-                        continue;
-                    }
-                    let pj = if pos_stamp[j] == now {
-                        pos_cache[j]
-                    } else {
-                        let p = nodes[j].mobility.position_at(now);
-                        pos_cache[j] = p;
-                        pos_stamp[j] = now;
-                        p
-                    };
-                    let d_sq = pj.distance_sq(p_tx);
-                    if d_sq > range_sq {
-                        continue;
-                    }
-                    if !medium.delivered_prepared(cand, pj) {
-                        metrics.on_collision();
-                        if let Some(tr) = tracer {
-                            tr.sink.record(&TraceEvent::MacCollision {
-                                t: now,
-                                tx: NodeId(node as u32),
-                                rx: NodeId(cand),
-                            });
-                        }
-                        continue;
-                    }
-                    scratch_survivors.push((cand, d_sq));
+                // Inlined `World::position`: one evaluation per node per
+                // event timestamp.
+                let pj = if pos_stamp[j] == now {
+                    pos_cache[j]
+                } else {
+                    let p = nodes[j].mobility.position_at(now);
+                    pos_cache[j] = p;
+                    pos_stamp[j] = now;
+                    p
+                };
+                let d_sq = pj.distance_sq(p_tx);
+                if d_sq > range_sq {
+                    continue;
                 }
-                channel.class_batch(node as u32, scratch_survivors, now, scratch_classes);
-                for (&(cand, _), &class) in scratch_survivors.iter().zip(scratch_classes.iter()) {
-                    let j = cand as usize;
+                if !medium.delivered_prepared(cand, pj) {
+                    metrics.on_collision();
                     if let Some(tr) = tracer {
-                        tr.note_class(now, node as u32, cand, class);
+                        tr.sink.record(&TraceEvent::MacCollision {
+                            t: now,
+                            tx: NodeId(node as u32),
+                            rx: NodeId(cand),
+                        });
                     }
-                    let info = RxInfo { from: NodeId(node as u32), class };
-                    match out.target {
-                        None => receivers.push((j, info)),
-                        Some(t) if t.index() == j => {
-                            target_delivered = true;
-                            receivers.push((j, info));
-                        }
-                        Some(_) => {} // MAC-filtered: not addressed to j
+                    continue;
+                }
+                scratch_survivors.push((cand, d_sq));
+            }
+            // The CSI measurement reuses the squared distance measured for
+            // the range check above (bit-identical: IEEE negation is
+            // exact, so the displacement order cannot matter).
+            channel.class_batch(node as u32, scratch_survivors, now, scratch_classes);
+            for (&(cand, _), &class) in scratch_survivors.iter().zip(scratch_classes.iter()) {
+                let j = cand as usize;
+                if let Some(tr) = tracer {
+                    tr.note_class(now, node as u32, cand, class);
+                }
+                let info = RxInfo { from: NodeId(node as u32), class };
+                match out.target {
+                    None => receivers.push((j, info)),
+                    Some(t) if t.index() == j => {
+                        target_delivered = true;
+                        receivers.push((j, info));
                     }
+                    Some(_) => {} // MAC-filtered: not addressed to j
                 }
             }
         }
@@ -1525,6 +1493,17 @@ impl NodeCtx for Ctx<'_, '_> {
     fn data_queue_total(&self) -> usize {
         self.world.nodes[self.node].links.values().map(|l| l.queue.len()).sum()
     }
+
+    fn initial_topology(&mut self) -> Option<&TopologySnapshot> {
+        let world = &mut *self.world;
+        if !world.starting {
+            return None;
+        }
+        if world.initial_topology.is_none() {
+            world.initial_topology = Some(world.build_snapshot());
+        }
+        world.initial_topology.as_ref()
+    }
 }
 
 /// Placeholder protocol installed while the real one is detached for a
@@ -1675,6 +1654,67 @@ mod tests {
         let mut s = small_static(false);
         s.explicit_flows = Some(vec![Flow::new(NodeId(0), NodeId(1), 0.0, 512)]);
         s.run(ProtocolKind::Rica);
+    }
+
+    /// Logs what [`NodeCtx::initial_topology`] serves each start and
+    /// reboot: the view's address (one shared build) and link count.
+    struct TopologyProbe {
+        log: std::rc::Rc<std::cell::RefCell<Vec<Option<(usize, usize)>>>>,
+    }
+
+    impl TopologyProbe {
+        fn record(&self, ctx: &mut dyn NodeCtx) {
+            let seen =
+                ctx.initial_topology().map(|s| (std::ptr::from_ref(s) as usize, s.links.len()));
+            self.log.borrow_mut().push(seen);
+        }
+    }
+
+    impl RoutingProtocol for TopologyProbe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
+            self.record(ctx);
+        }
+        fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
+            self.record(ctx);
+        }
+        fn on_control(&mut self, _: &mut dyn NodeCtx, _: &ControlPacket, _: RxInfo) {}
+        fn on_data(&mut self, _: &mut dyn NodeCtx, _: DataPacket, _: Option<RxInfo>) {}
+        fn on_timer(&mut self, _: &mut dyn NodeCtx, _: Timer) {}
+        fn on_link_failure(&mut self, _: &mut dyn NodeCtx, _: NodeId, _: Vec<DataPacket>) {}
+    }
+
+    #[test]
+    fn initial_topology_is_built_once_and_only_for_start_up() {
+        let s = Scenario::builder()
+            .nodes(3)
+            .duration_secs(5.0)
+            .mean_speed_kmh(0.0)
+            .seed(3)
+            .pinned_positions(vec![
+                Vec2::new(100.0, 100.0),
+                Vec2::new(180.0, 100.0),
+                Vec2::new(260.0, 100.0),
+            ])
+            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(2), 5.0, 512)])
+            .faults(rica_faults::FaultPlan::none().with_crash(NodeId(1), 2.0, Some(1.0)))
+            .build();
+        let log = std::rc::Rc::default();
+        let mut world = World::new(&s, ProtocolKind::LinkState, s.seed);
+        for proto in &mut world.protos {
+            *proto = Box::new(TopologyProbe { log: std::rc::Rc::clone(&log) });
+        }
+        world.start();
+        let starts = log.borrow().clone();
+        assert_eq!(starts.len(), 3);
+        let (addr, links) = starts[0].expect("start-up serves the view");
+        assert_eq!(links, 3, "all three pairs are in range");
+        assert!(starts.iter().all(|&v| v == Some((addr, links))), "one shared build: {starts:?}");
+        assert!(world.initial_topology.is_none(), "the view is dropped after start-up");
+        world.step_until(world.end);
+        assert_eq!(log.borrow()[3..], [None], "a reboot gets no initial view");
     }
 
     #[test]

@@ -212,15 +212,24 @@ pub trait NodeCtx {
     /// default implementation discards it, and implementations must not
     /// let it influence protocol behaviour.
     fn note_route_phase(&mut self, _phase: RoutePhase, _src: NodeId, _dst: NodeId) {}
+
+    /// The accurate network-wide topology view at trial start (§III.A),
+    /// or `None` outside start-up. Only a protocol that needs it (link
+    /// state, from [`RoutingProtocol::on_start`]) asks; the harness builds
+    /// it on the first request — an O(n²) pass over every pair — and
+    /// lends the same view to every later requester, so trials whose
+    /// protocols never ask never pay for it. A rebooted terminal gets
+    /// `None`.
+    fn initial_topology(&mut self) -> Option<&TopologySnapshot>;
 }
 
 /// A global adjacency snapshot: every in-range link with its current class.
 ///
-/// Used once, at `t = 0`, to give the link-state protocol the paper's
-/// starting condition: "at the beginning of each simulation run, an accurate
-/// view of the network topology is installed in each mobile terminal"
-/// (§III.A). On-demand protocols ignore it.
-#[derive(Debug, Clone, Default)]
+/// The paper's link-state starting condition: "at the beginning of each
+/// simulation run, an accurate view of the network topology is installed
+/// in each mobile terminal" (§III.A). Served by
+/// [`NodeCtx::initial_topology`]; on-demand protocols never request it.
+#[derive(Debug, Default)]
 pub struct TopologySnapshot {
     /// Undirected links `(a, b, class)` with `a < b`.
     pub links: Vec<(NodeId, NodeId, ChannelClass)>,
@@ -234,19 +243,16 @@ pub trait RoutingProtocol {
     /// Human-readable protocol name (used in reports and figures).
     fn name(&self) -> &'static str;
 
-    /// Called once at simulation start (schedule periodic timers here).
+    /// Called once at simulation start (schedule periodic timers here;
+    /// [`NodeCtx::initial_topology`] is available only during this call).
     fn on_start(&mut self, _ctx: &mut dyn NodeCtx) {}
-
-    /// Receives the initial global topology view (link state only; the
-    /// default implementation ignores it).
-    fn on_topology_snapshot(&mut self, _ctx: &mut dyn NodeCtx, _snap: &TopologySnapshot) {}
 
     /// The terminal comes back from a crash (fault injection). All
     /// protocol state died with the node: implementations must reset to
     /// their cold-start state and re-arm their periodic timers — the
     /// harness has already cancelled every timer the old incarnation
-    /// held, and no topology snapshot is replayed (a rebooted terminal
-    /// re-joins routing through the protocol's own discovery). The
+    /// held, and [`NodeCtx::initial_topology`] serves no view (a rebooted
+    /// terminal re-joins routing through the protocol's own discovery). The
     /// default restarts without clearing (correct only for stateless
     /// protocols); every real implementation overrides it.
     fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {

@@ -15,7 +15,7 @@ use rica_sim::{Rng, SimDuration, SimTime};
 
 use crate::{
     ControlPacket, DataPacket, DropReason, KeyMap, NodeCtx, NodeId, ProtocolConfig, Timer,
-    TimerToken,
+    TimerToken, TopologySnapshot,
 };
 
 /// A recorded timer: when it should fire and what it is.
@@ -44,6 +44,7 @@ pub struct ScriptedCtx {
     config: ProtocolConfig,
     link_classes: KeyMap<NodeId, Option<ChannelClass>>,
     queue_lens: KeyMap<NodeId, usize>,
+    initial_topology: Option<TopologySnapshot>,
     next_token: u64,
     /// Broadcast control packets, in emission order.
     pub broadcasts: Vec<ControlPacket>,
@@ -57,6 +58,8 @@ pub struct ScriptedCtx {
     pub dropped: Vec<(DataPacket, DropReason)>,
     /// Every timer ever armed (including cancelled ones).
     pub timers: Vec<ArmedTimer>,
+    /// How many times the protocol asked for the initial topology view.
+    pub topology_requests: usize,
 }
 
 impl ScriptedCtx {
@@ -69,6 +72,7 @@ impl ScriptedCtx {
             config: ProtocolConfig::default(),
             link_classes: KeyMap::new(),
             queue_lens: KeyMap::new(),
+            initial_topology: None,
             next_token: 0,
             broadcasts: Vec::new(),
             unicasts: Vec::new(),
@@ -76,6 +80,7 @@ impl ScriptedCtx {
             delivered: Vec::new(),
             dropped: Vec::new(),
             timers: Vec::new(),
+            topology_requests: 0,
         }
     }
 
@@ -99,6 +104,12 @@ impl ScriptedCtx {
     /// of range).
     pub fn set_link_class(&mut self, neighbor: NodeId, class: Option<ChannelClass>) {
         self.link_classes.insert(neighbor, class);
+    }
+
+    /// Scripts the view [`NodeCtx::initial_topology`] serves (`None`, the
+    /// default, models a terminal outside start-up).
+    pub fn set_initial_topology(&mut self, snap: Option<TopologySnapshot>) {
+        self.initial_topology = snap;
     }
 
     /// Scripts the data-queue occupancy towards `neighbor`.
@@ -199,6 +210,11 @@ impl NodeCtx for ScriptedCtx {
 
     fn data_queue_total(&self) -> usize {
         self.queue_lens.iter().map(|(_, n)| n).sum()
+    }
+
+    fn initial_topology(&mut self) -> Option<&TopologySnapshot> {
+        self.topology_requests += 1;
+        self.initial_topology.as_ref()
     }
 }
 

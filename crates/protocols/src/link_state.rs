@@ -266,16 +266,10 @@ impl LinkState {
             down: down.into(),
         });
     }
-}
 
-impl RoutingProtocol for LinkState {
-    fn name(&self) -> &'static str {
-        "LinkState"
-    }
-
-    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        // Stagger periodic activity across nodes to avoid synchronized
-        // flooding.
+    /// Arms the beacon and link-sampling timers, staggered across nodes
+    /// to avoid synchronized flooding.
+    fn arm_periodic_timers(ctx: &mut dyn NodeCtx) {
         let period = ctx.config().beacon_period;
         let jitter_ns = ctx.rng().u64_below(period.as_nanos().max(1));
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::Beacon);
@@ -284,17 +278,10 @@ impl RoutingProtocol for LinkState {
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::LinkMonitor);
     }
 
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        // Cold restart with no topology snapshot replay: the rebooted
-        // terminal re-learns the graph through beacons and LSU flooding
-        // alone, exactly like a terminal joining late.
-        *self = LinkState::new();
-        self.on_start(ctx);
-    }
-
-    fn on_topology_snapshot(&mut self, ctx: &mut dyn NodeCtx, snap: &TopologySnapshot) {
-        let me = ctx.id();
-        let now = ctx.now();
+    /// Installs a global adjacency view as terminal `me` at `now`: every
+    /// link enters the topology, and `me`'s own links become its
+    /// advertised adjacency and heard neighbours.
+    fn install_topology(&mut self, me: NodeId, now: SimTime, snap: &TopologySnapshot) {
         for &(a, b, class) in &snap.links {
             let cost = class.csi_hops();
             Self::adj_set(self.topo_entry(a), b, cost);
@@ -308,6 +295,30 @@ impl RoutingProtocol for LinkState {
             }
         }
         self.invalidate_routes();
+    }
+}
+
+impl RoutingProtocol for LinkState {
+    fn name(&self) -> &'static str {
+        "LinkState"
+    }
+
+    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
+        Self::arm_periodic_timers(ctx);
+        // Install the accurate initial topology view (§III.A).
+        let me = ctx.id();
+        let now = ctx.now();
+        if let Some(snap) = ctx.initial_topology() {
+            self.install_topology(me, now, snap);
+        }
+    }
+
+    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
+        // Cold restart with no initial view: the rebooted terminal
+        // re-learns the graph through beacons and LSU flooding alone,
+        // exactly like a terminal joining late.
+        *self = LinkState::new();
+        Self::arm_periodic_timers(ctx);
     }
 
     fn on_control(&mut self, ctx: &mut dyn NodeCtx, pkt: &ControlPacket, rx: RxInfo) {
@@ -442,6 +453,14 @@ mod tests {
         }
     }
 
+    /// A terminal started with `links` as its initial topology view.
+    fn started(ctx: &mut ScriptedCtx, links: &[(u32, u32, ChannelClass)]) -> LinkState {
+        ctx.set_initial_topology(Some(snap(links)));
+        let mut p = LinkState::new();
+        p.on_start(ctx);
+        p
+    }
+
     fn data(src: u32, dst: u32) -> DataPacket {
         DataPacket::new(FlowId(0), 0, NodeId(src), NodeId(dst), 512, SimTime::ZERO)
     }
@@ -452,16 +471,15 @@ mod tests {
         // class A (cost 3): Dijkstra takes the longer, faster path —
         // the paper's §III.E observation about link-state route quality.
         let mut ctx = ScriptedCtx::new(NodeId(0));
-        let mut p = LinkState::new();
-        p.on_topology_snapshot(
+        let mut p = started(
             &mut ctx,
-            &snap(&[
+            &[
                 (0, 1, ChannelClass::D),
                 (1, 9, ChannelClass::D),
                 (0, 2, ChannelClass::A),
                 (2, 3, ChannelClass::A),
                 (3, 9, ChannelClass::A),
-            ]),
+            ],
         );
         assert_eq!(p.next_hop_to(NodeId(0), NodeId(9)), Some(NodeId(2)));
         p.on_data(&mut ctx, data(0, 9), None);
@@ -471,8 +489,7 @@ mod tests {
     #[test]
     fn unreachable_destination_drops() {
         let mut ctx = ScriptedCtx::new(NodeId(0));
-        let mut p = LinkState::new();
-        p.on_topology_snapshot(&mut ctx, &snap(&[(0, 1, ChannelClass::A)]));
+        let mut p = started(&mut ctx, &[(0, 1, ChannelClass::A)]);
         p.on_data(&mut ctx, data(0, 9), None);
         assert_eq!(ctx.dropped.len(), 1);
         assert_eq!(ctx.dropped[0].1, DropReason::NoRoute);
@@ -481,11 +498,7 @@ mod tests {
     #[test]
     fn lsu_updates_view_and_refloods_once() {
         let mut ctx = ScriptedCtx::new(NodeId(0));
-        let mut p = LinkState::new();
-        p.on_topology_snapshot(
-            &mut ctx,
-            &snap(&[(0, 1, ChannelClass::A), (1, 9, ChannelClass::A)]),
-        );
+        let mut p = started(&mut ctx, &[(0, 1, ChannelClass::A), (1, 9, ChannelClass::A)]);
         assert_eq!(p.next_hop_to(NodeId(0), NodeId(9)), Some(NodeId(1)));
         // n1 advertises it lost the link to 9.
         let lsu = ControlPacket::Lsu {
@@ -575,15 +588,14 @@ mod tests {
     #[test]
     fn link_failure_reroutes_salvageable_packets() {
         let mut ctx = ScriptedCtx::new(NodeId(0));
-        let mut p = LinkState::new();
-        p.on_topology_snapshot(
+        let mut p = started(
             &mut ctx,
-            &snap(&[
+            &[
                 (0, 1, ChannelClass::A),
                 (1, 9, ChannelClass::A),
                 (0, 2, ChannelClass::B),
                 (2, 9, ChannelClass::B),
-            ]),
+            ],
         );
         assert_eq!(p.next_hop_to(NodeId(0), NodeId(9)), Some(NodeId(1)));
         // The surviving link to n2 still measures class B.
@@ -604,21 +616,29 @@ mod tests {
         // protocol must not crash or "fix" this silently; packets ping-pong
         // until the data plane kills them.
         let mut ctx0 = ScriptedCtx::new(NodeId(0));
-        let mut p0 = LinkState::new();
-        p0.on_topology_snapshot(
-            &mut ctx0,
-            &snap(&[(0, 1, ChannelClass::A), (1, 9, ChannelClass::A)]),
-        );
+        let mut p0 = started(&mut ctx0, &[(0, 1, ChannelClass::A), (1, 9, ChannelClass::A)]);
         let mut ctx1 = ScriptedCtx::new(NodeId(1));
-        let mut p1 = LinkState::new();
-        p1.on_topology_snapshot(
-            &mut ctx1,
-            &snap(&[(1, 0, ChannelClass::A), (0, 9, ChannelClass::A)]),
-        );
+        let mut p1 = started(&mut ctx1, &[(1, 0, ChannelClass::A), (0, 9, ChannelClass::A)]);
         p0.on_data(&mut ctx0, data(0, 9), None);
         assert_eq!(ctx0.sent_data[0].0, NodeId(1));
         let fwd = ctx0.sent_data[0].1.clone();
         p1.on_data(&mut ctx1, fwd, Some(rx(0)));
         assert_eq!(ctx1.sent_data[0].0, NodeId(0), "loop: sent straight back");
+    }
+
+    #[test]
+    fn reboot_reinstalls_no_initial_view() {
+        // Even with a view on offer, a rebooted terminal restarts cold:
+        // it never asks for the initial topology and keeps an empty view
+        // until beacons and LSUs rebuild it.
+        let mut ctx = ScriptedCtx::new(NodeId(0));
+        let mut p = started(&mut ctx, &[(0, 1, ChannelClass::A), (1, 9, ChannelClass::A)]);
+        assert_eq!(ctx.topology_requests, 1, "start-up installs the view once");
+        assert_eq!(p.view_size(), 4);
+        ctx.advance(SimDuration::from_secs(5));
+        p.on_reboot(&mut ctx);
+        assert_eq!(ctx.topology_requests, 1, "reboot must not request the initial view");
+        assert_eq!(p.view_size(), 0);
+        assert_eq!(p.next_hop_to(NodeId(0), NodeId(9)), None);
     }
 }

@@ -26,16 +26,14 @@ fn ls_missed_delta_leaves_stale_link_until_next_change() {
     // link to n9 in our view even though n1 dropped it; a later delta for
     // the same link heals it.
     let mut ctx = ScriptedCtx::new(NodeId(0));
+    ctx.set_initial_topology(Some(TopologySnapshot {
+        links: vec![
+            (NodeId(0), NodeId(1), ChannelClass::A),
+            (NodeId(1), NodeId(9), ChannelClass::A),
+        ],
+    }));
     let mut p = LinkState::new();
-    p.on_topology_snapshot(
-        &mut ctx,
-        &TopologySnapshot {
-            links: vec![
-                (NodeId(0), NodeId(1), ChannelClass::A),
-                (NodeId(1), NodeId(9), ChannelClass::A),
-            ],
-        },
-    );
+    p.on_start(&mut ctx);
     assert_eq!(p.next_hop_to(NodeId(0), NodeId(9)), Some(NodeId(1)));
     // Seq 2 (which would remove 1-9) is LOST. Seq 3 arrives with an
     // unrelated change: our stale view still routes via the dead link.
@@ -73,18 +71,16 @@ fn ls_equal_cost_routes_are_deterministic() {
     // Two equal-cost paths: the tie-break must be stable (no flapping
     // between runs of ensure_routes).
     let mut ctx = ScriptedCtx::new(NodeId(0));
+    ctx.set_initial_topology(Some(TopologySnapshot {
+        links: vec![
+            (NodeId(0), NodeId(1), ChannelClass::A),
+            (NodeId(1), NodeId(9), ChannelClass::A),
+            (NodeId(0), NodeId(2), ChannelClass::A),
+            (NodeId(2), NodeId(9), ChannelClass::A),
+        ],
+    }));
     let mut p = LinkState::new();
-    p.on_topology_snapshot(
-        &mut ctx,
-        &TopologySnapshot {
-            links: vec![
-                (NodeId(0), NodeId(1), ChannelClass::A),
-                (NodeId(1), NodeId(9), ChannelClass::A),
-                (NodeId(0), NodeId(2), ChannelClass::A),
-                (NodeId(2), NodeId(9), ChannelClass::A),
-            ],
-        },
-    );
+    p.on_start(&mut ctx);
     let first = p.next_hop_to(NodeId(0), NodeId(9));
     for seq in 1..=5u64 {
         // Force recompute via an irrelevant LSU.

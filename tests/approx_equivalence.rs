@@ -1,8 +1,8 @@
 //! The approx channel tier's acceptance gate.
 //!
 //! `ChannelFidelity::Approx` deliberately realises *different bits* than
-//! the Exact tier (ziggurat innovations, dt-quantised decay, batched
-//! fan-out draws), so it cannot ride on the Exact goldens. Instead it is
+//! the Exact tier (ziggurat innovations, dt-quantised decay), so it
+//! cannot ride on the Exact goldens. Instead it is
 //! held to three standards:
 //!
 //! 1. **Its own pinned goldens** — the Approx realisation is still fully

@@ -36,6 +36,14 @@ fn tracing_and_sampling_are_bit_invisible_for_every_protocol() {
         world.enable_trace(Box::new(RingSink::unbounded()));
         world.enable_timeseries(SimDuration::from_millis(250));
         world.start();
+        // Only link state asks for the t = 0 topology view; the on-demand
+        // protocols' start-up instantiates no channel pair state.
+        let pairs = world.diagnostics().channel_active_pairs;
+        if kind == ProtocolKind::LinkState {
+            assert!(pairs > 0, "{kind}: start-up must install the initial topology view");
+        } else {
+            assert_eq!(pairs, 0, "{kind}: start-up built a topology view nobody asked for");
+        }
         let end = world.now() + s.duration;
         world.step_until(end);
         let mut sink = world.take_trace_sink().expect("sink was installed");
