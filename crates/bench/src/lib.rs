@@ -1,10 +1,7 @@
 //! # rica-bench — benchmark harnesses
 //!
-//! Three bench families, all runnable with `cargo bench`:
+//! Two bench families, both runnable with `cargo bench`:
 //!
-//! * `micro` — criterion microbenchmarks of the substrates (event queue,
-//!   RNG, channel sampling, mobility evaluation, MAC collision checks,
-//!   full simulation steps per protocol).
 //! * `figures` — regenerates every table/figure of the paper at a reduced
 //!   scale through the `rica-exec` worker pool and prints the series (the
 //!   full-scale numbers live in EXPERIMENTS.md). Accepts `--workers N`

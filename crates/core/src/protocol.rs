@@ -13,7 +13,7 @@ use rica_net::{
 #[derive(Debug, Default)]
 pub struct Rica {
     t: Tables,
-    pending: Option<PendingBuffer>,
+    pending: PendingBuffer,
     next_rreq_bcast: u64,
 }
 
@@ -37,12 +37,6 @@ impl Rica {
     /// The current next hop this node (as a source) uses towards `dst`.
     pub fn next_hop_to(&self, dst: NodeId) -> Option<NodeId> {
         self.t.sources.get(dst).and_then(|s| s.next_hop)
-    }
-
-    fn pending(&mut self, ctx: &dyn NodeCtx) -> &mut PendingBuffer {
-        let cfg = ctx.config();
-        self.pending
-            .get_or_insert_with(|| PendingBuffer::new(cfg.pending_cap, cfg.max_queue_residency))
     }
 
     // ---------------------------------------------------------------- source
@@ -107,13 +101,7 @@ impl Rica {
 
     /// Sends every buffered packet for `dst` (called when a route appears).
     fn flush_pending(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let now = ctx.now();
-        let mut expired = Vec::new();
-        let fresh = self.pending(ctx).take_for(dst, now, &mut expired);
-        for pkt in expired {
-            ctx.drop_data(pkt, DropReason::BufferTimeout);
-        }
-        for pkt in fresh {
+        for pkt in self.pending.take_for(ctx, dst) {
             self.send_as_source(ctx, pkt);
         }
     }
@@ -143,9 +131,7 @@ impl Rica {
         let checks_flowing =
             st.last_csi_rx.is_some_and(|t| now.saturating_since(t) <= period.mul_f64(1.5));
         let discovering = st.discovery.is_some() || st.window.is_some();
-        if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-            ctx.drop_data(rejected, DropReason::BufferOverflow);
-        }
+        self.pending.push(ctx, pkt);
         if !discovering && !checks_flowing {
             self.start_discovery(ctx, dst, 0);
         }
@@ -493,10 +479,7 @@ impl Rica {
         }
         if retries >= max_retries {
             st.discovery = None;
-            let dropped = self.pending(ctx).drop_for(dst);
-            for pkt in dropped {
-                ctx.drop_data(pkt, DropReason::NoRoute);
-            }
+            self.pending.drop_for(ctx, dst);
             return;
         }
         self.start_discovery(ctx, dst, retries + 1);
@@ -632,9 +615,7 @@ impl RoutingProtocol for Rica {
         for pkt in undelivered {
             if pkt.src == me {
                 let dst = pkt.dst;
-                if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-                    ctx.drop_data(rejected, DropReason::BufferOverflow);
-                }
+                self.pending.push(ctx, pkt);
                 let st = self.t.sources.get_or_insert_with(dst, SourceState::default);
                 if st.next_hop == Some(neighbor) {
                     st.next_hop = None;

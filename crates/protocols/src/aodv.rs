@@ -7,7 +7,7 @@ use rica_net::{
 };
 use rica_sim::SimTime;
 
-use crate::common::FlowKey;
+use crate::flow::FlowKey;
 
 #[derive(Debug, Clone, Copy)]
 struct Route {
@@ -33,7 +33,7 @@ pub struct Aodv {
     flow_upstream: KeyMap<FlowKey, NodeId>,
     /// Source-side discovery state per destination.
     discovery: IdMap<(u64, u32, TimerToken)>,
-    pending: Option<PendingBuffer>,
+    pending: PendingBuffer,
     next_bcast: u64,
 }
 
@@ -46,12 +46,6 @@ impl Aodv {
     /// The current next hop towards `dst`, if a fresh route exists.
     pub fn next_hop_to(&self, dst: NodeId) -> Option<NodeId> {
         self.routes.get(dst).map(|r| r.next_hop)
-    }
-
-    fn pending(&mut self, ctx: &dyn NodeCtx) -> &mut PendingBuffer {
-        let cfg = ctx.config();
-        self.pending
-            .get_or_insert_with(|| PendingBuffer::new(cfg.pending_cap, cfg.max_queue_residency))
     }
 
     fn fresh_route(&self, dst: NodeId, now: SimTime, ctx: &dyn NodeCtx) -> Option<NodeId> {
@@ -83,22 +77,14 @@ impl Aodv {
             return;
         }
         let discovering = self.discovery.contains(dst);
-        if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-            ctx.drop_data(rejected, DropReason::BufferOverflow);
-        }
+        self.pending.push(ctx, pkt);
         if !discovering {
             self.start_discovery(ctx, dst, 0);
         }
     }
 
     fn flush_pending(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let now = ctx.now();
-        let mut expired = Vec::new();
-        let fresh = self.pending(ctx).take_for(dst, now, &mut expired);
-        for pkt in expired {
-            ctx.drop_data(pkt, DropReason::BufferTimeout);
-        }
-        for pkt in fresh {
+        for pkt in self.pending.take_for(ctx, dst) {
             self.send_as_source(ctx, pkt);
         }
     }
@@ -229,10 +215,7 @@ impl RoutingProtocol for Aodv {
         }
         if retries >= ctx.config().rreq_max_retries {
             self.discovery.remove(dst);
-            let dropped = self.pending(ctx).drop_for(dst);
-            for pkt in dropped {
-                ctx.drop_data(pkt, DropReason::NoRoute);
-            }
+            self.pending.drop_for(ctx, dst);
             return;
         }
         self.start_discovery(ctx, dst, retries + 1);
@@ -249,7 +232,6 @@ impl RoutingProtocol for Aodv {
         undelivered: Vec<DataPacket>,
     ) {
         let me = ctx.id();
-        let now = ctx.now();
         self.routes.retain(|dst, r| {
             let keep = r.next_hop != neighbor;
             if !keep {
@@ -262,9 +244,7 @@ impl RoutingProtocol for Aodv {
             if pkt.src == me {
                 // Salvage our own packets; a re-discovery will flush them.
                 let dst = pkt.dst;
-                if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-                    ctx.drop_data(rejected, DropReason::BufferOverflow);
-                }
+                self.pending.push(ctx, pkt);
                 if !self.discovery.contains(dst) {
                     self.start_discovery(ctx, dst, 0);
                 }

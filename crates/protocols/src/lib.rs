@@ -26,13 +26,22 @@
 //!   inconsistent) view. Under mobility the flooding congests the common
 //!   channel, views diverge and routing loops form — reproducing the
 //!   paper's negative result.
+//!
+//! ABR and BGCA differ only in their route metric and maintenance trigger,
+//! so both are one flow-routed engine (discovery, reply window, reverse
+//! paths, local-query repair, RERR, forwarding) with a policy each: the
+//! discovery packet and its metric order, the periodic timer (beacon or
+//! link monitor), and ABR's associativity ticks or BGCA's bandwidth guard.
+//! AODV and link state stand alone, as does RICA in `rica-core`. Every
+//! on-demand protocol buffers source packets in a
+//! [`rica_net::PendingBuffer`].
 
 #![warn(missing_docs)]
 
 mod abr;
 mod aodv;
 mod bgca;
-mod common;
+mod flow;
 mod link_state;
 
 pub use abr::Abr;
