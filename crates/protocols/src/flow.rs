@@ -66,6 +66,9 @@ pub(crate) struct Repair {
     /// Whether the repair replaces a *broken* link (true) or merely a
     /// degraded one that keeps forwarding meanwhile (BGCA guard, false).
     link_down: bool,
+    /// This repair's own `LqTimeout`, cancelled when the repair splices so
+    /// that it cannot end a later repair of the same flow.
+    deadline: TimerToken,
 }
 
 /// One received copy of a discovery flood, its metric already extended
@@ -265,7 +268,6 @@ impl<P: FlowPolicy> FlowRouted<P> {
         let slack = ctx.config().lq_ttl_slack;
         let ttl =
             self.routes.get(&key).map(|e| e.hops_to_dst).unwrap_or(2).saturating_add(slack).max(1);
-        self.repairs.insert(key, Repair { bcast_id, held, link_down });
         if link_down {
             if let Some(e) = self.routes.get_mut(&key) {
                 e.downstream = None;
@@ -281,7 +283,9 @@ impl<P: FlowPolicy> FlowRouted<P> {
             csi_hops: 0.0,
             topo_hops: 0,
         });
-        ctx.set_timer(ctx.config().lq_timeout, Timer::LqTimeout { src: key.0, dst: key.1 });
+        let deadline =
+            ctx.set_timer(ctx.config().lq_timeout, Timer::LqTimeout { src: key.0, dst: key.1 });
+        self.repairs.insert(key, Repair { bcast_id, held, link_down, deadline });
     }
 
     fn fail_repair(&mut self, ctx: &mut dyn NodeCtx, key: FlowKey) {
@@ -410,6 +414,7 @@ impl<P: FlowPolicy> RoutingProtocol for FlowRouted<P> {
                         self.repairs.insert(key, repair); // answer to an old query
                         return;
                     }
+                    ctx.cancel_timer(repair.deadline);
                     let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
                     e.downstream = Some(rx.from);
                     e.last_used = now;
@@ -598,6 +603,86 @@ impl<P: FlowPolicy> RoutingProtocol for FlowRouted<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abr::AbrPolicy;
+    use crate::bgca::BgcaPolicy;
+    use rica_channel::ChannelClass;
+    use rica_net::testing::ScriptedCtx;
+    use rica_net::FlowId;
+
+    fn rx(from: u32) -> RxInfo {
+        RxInfo { from: NodeId(from), class: ChannelClass::A }
+    }
+
+    fn lq_rep(seq: u64) -> ControlPacket {
+        ControlPacket::LqRep {
+            src: NodeId(0),
+            dst: NodeId(9),
+            origin: NodeId(5),
+            seq,
+            csi_hops: 2.0,
+            topo_hops: 2,
+        }
+    }
+
+    /// Relay n5 with the route 0 →(1)→ 5 →(7)→ 9 installed by a flood
+    /// and its reply.
+    fn relay_with_route<P: FlowPolicy>() -> (ScriptedCtx, FlowRouted<P>) {
+        let mut ctx = ScriptedCtx::new(NodeId(5));
+        let mut p = FlowRouted::<P>::new();
+        let flood = P::flood_packet(NodeId(0), NodeId(9), 0, P::Metric::default());
+        p.on_control(&mut ctx, &flood, rx(1));
+        let rrep = ControlPacket::Rrep {
+            src: NodeId(0),
+            dst: NodeId(9),
+            seq: 0,
+            csi_hops: 2.0,
+            topo_hops: 2,
+        };
+        p.on_control(&mut ctx, &rrep, rx(7));
+        ctx.clear_actions();
+        (ctx, p)
+    }
+
+    /// Fires, in order, every armed timer due by `until`.
+    fn fire_due<P: FlowPolicy>(p: &mut FlowRouted<P>, ctx: &mut ScriptedCtx, until: SimTime) {
+        while ctx.pending_timers().first().is_some_and(|t| t.at <= until) {
+            let timer = ctx.fire_next_timer();
+            p.on_timer(ctx, timer);
+        }
+    }
+
+    /// A repair splices, the flow breaks again, and the first repair's
+    /// deadline passes while the second one still searches.
+    fn stale_deadline_spares_the_next_repair<P: FlowPolicy>() {
+        let (mut ctx, mut p) = relay_with_route::<P>();
+        let lq_timeout = ctx.config().lq_timeout;
+        p.on_link_failure(&mut ctx, NodeId(7), Vec::new());
+        let first_deadline = ctx.now() + lq_timeout;
+        ctx.advance(SimDuration::from_millis(50));
+        p.on_control(&mut ctx, &lq_rep(0), rx(8));
+        assert_eq!(p.downstream_of(NodeId(0), NodeId(9)), Some(NodeId(8)), "spliced");
+        ctx.advance(SimDuration::from_millis(50));
+        let pkt = DataPacket::new(FlowId(0), 1, NodeId(0), NodeId(9), 512, SimTime::ZERO);
+        p.on_link_failure(&mut ctx, NodeId(8), vec![pkt]);
+        let second_deadline = ctx.now() + lq_timeout;
+        fire_due(&mut p, &mut ctx, first_deadline);
+        assert!(p.is_repairing(NodeId(0), NodeId(9)), "the old deadline ended the new repair");
+        assert!(ctx.dropped.is_empty());
+        fire_due(&mut p, &mut ctx, second_deadline);
+        assert!(!p.is_repairing(NodeId(0), NodeId(9)), "its own deadline still ends it");
+        assert_eq!(ctx.dropped.len(), 1);
+        assert_eq!(ctx.dropped[0].1, DropReason::LinkBreak);
+    }
+
+    #[test]
+    fn abr_stale_lq_timeout_spares_the_next_repair() {
+        stale_deadline_spares_the_next_repair::<AbrPolicy>();
+    }
+
+    #[test]
+    fn bgca_stale_lq_timeout_spares_the_next_repair() {
+        stale_deadline_spares_the_next_repair::<BgcaPolicy>();
+    }
 
     #[test]
     fn entry_freshness() {
