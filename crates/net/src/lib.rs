@@ -11,7 +11,7 @@
 //!   sum of traversed link rates).
 //! * [`LinkQueue`] — the per-connection FCFS buffer: capacity 10 packets,
 //!   3-second maximum residency (§III.A).
-//! * [`PendingBuffer`] — source-side packets awaiting route discovery.
+//! * [`PendingBuffer`] — source-side packets awaiting a route, and their drops.
 //! * [`RoutingProtocol`] / [`NodeCtx`] — the protocol ↔ node boundary. A
 //!   protocol is a *pure state machine* over packets and timers; the context
 //!   supplies every side effect (transmission, timers, CSI measurement).
